@@ -6,15 +6,13 @@
 //! * a **deadline cycle** — checked exactly where the watchdog budget is
 //!   checked, so a deadline of `d` stops the run after precisely `d`
 //!   simulated cycles with partial [`Stats`] that are bit-identical
-//!   across the dense, event-driven and shard-parallel schedulers (the
-//!   same identity contract the watchdog already satisfies, DESIGN.md
-//!   §9/§10);
+//!   across the dense and event-driven schedulers (the same identity
+//!   contract the watchdog already satisfies, DESIGN.md §9);
 //! * an **asynchronous flag** — an `Arc<AtomicBool>` any thread may
 //!   raise (a service worker observing a client disconnect, an operator
 //!   abort).  Flag cancellation is *prompt* — dense and event loops poll
-//!   it every simulated cycle, the shard coordinator once per slice —
-//!   but the exact stop cycle depends on when the flag was raised, so it
-//!   is not replayable the way a deadline is.
+//!   it every simulated cycle — but the exact stop cycle depends on when
+//!   the flag was raised, so it is not replayable the way a deadline is.
 //!
 //! Both paths surface as the typed
 //! [`MachineError::Cancelled`](crate::error::MachineError::Cancelled)

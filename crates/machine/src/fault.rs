@@ -54,7 +54,7 @@ pub struct FaultPlan {
     /// The construction seed, kept verbatim: per-cycle stall decisions
     /// hash it with `(cycle, dp)` so they are order-independent — every
     /// fork and clone of a plan agrees on the stall schedule no matter
-    /// which scheduler (dense, event, sharded) asks, or in what order.
+    /// which scheduler (dense or event) asks, or in what order.
     stall_seed: u64,
     failed_dps: BTreeSet<usize>,
     outages: Vec<LinkOutage>,
@@ -151,24 +151,13 @@ impl FaultPlan {
     /// event-driven scheduler that skips idle cycles would desynchronise
     /// the stream.  Engines use this to fall back to their dense
     /// reference loop.  DP stalls do *not* roll: they hash
-    /// `(seed, cycle, dp)` and are therefore order-independent — dense,
-    /// event and sharded interleavings all see the same stall schedule.
+    /// `(seed, cycle, dp)` and are therefore order-independent — dense
+    /// and event interleavings both see the same stall schedule.
     /// Drops, corruption and link outages only roll on actual sends,
     /// which the event path replays at identical cycles in identical
     /// order.
     pub fn has_per_cycle_rolls(&self) -> bool {
         self.bit_flip_rate > 0.0
-    }
-
-    /// Does this plan roll the PRNG on message sends?
-    ///
-    /// Drops and corruption consume one random draw per send in global
-    /// send order, which a shard-parallel runner (one forked plan per
-    /// shard) cannot reproduce.  Link outages are schedule-driven and
-    /// roll no randomness, so they shard fine.  Engines use this to fall
-    /// back to the single-threaded scheduler.
-    pub fn has_message_rolls(&self) -> bool {
-        self.drop_rate > 0.0 || self.corrupt_rate > 0.0
     }
 
     /// Is the `from -> to` link down at `cycle`?
@@ -206,8 +195,8 @@ impl FaultPlan {
     ///
     /// The decision is a pure function of `(seed, cycle, dp)` — no PRNG
     /// stream is consumed — so stall outcomes are order-independent:
-    /// identical under dense, event-driven and shard-parallel
-    /// interleavings, and across forks of the same plan.  Only queries
+    /// identical under dense and event-driven interleavings, and across
+    /// forks of the same plan.  Only queries
     /// that actually fire count toward [`FaultPlan::injected`], so the
     /// totals agree too as long as every scheduler queries the same
     /// `(cycle, dp)` set (the run loops query exactly the processors

@@ -1,9 +1,9 @@
 //! Fleet-scale structure-of-arrays batch execution (DESIGN.md §14).
 //!
-//! The shard runner (§10) scales **one big machine** across threads; this
-//! module is the complementary axis: **thousands of small machine
-//! instances** of the *same* architecture advancing in lockstep, the
-//! workload class of parameter sweeps and Monte-Carlo fault studies.
+//! This module scales **thousands of small machine instances** of the
+//! *same* architecture advancing in lockstep, the workload class of
+//! parameter sweeps and Monte-Carlo fault studies.  One big machine is
+//! never split across threads (§10): throughput comes from instances.
 //!
 //! Instead of `Vec<Machine>` (one decode, one scheduler pass and one
 //! fault hook *per instance per cycle*), fleet state is laid out as
@@ -18,10 +18,10 @@
 //! per-instance result slots that retire instances on halt, watchdog,
 //! deadline or typed error.
 //!
-//! The hard contract carried from the scheduler/shard identity work
-//! (§9/§10): per-instance [`Stats`], telemetry class totals, and error
-//! values are **bit-identical** to running the `n` instances
-//! sequentially on the dense reference machines
+//! The hard contract carried from the scheduler identity work (§9):
+//! per-instance [`Stats`], telemetry class totals, and error values are
+//! **bit-identical** to running the `n` instances sequentially on the
+//! dense reference machines
 //! ([`crate::uniprocessor::UniProcessor`], [`crate::array::ArrayMachine`]),
 //! for clean runs, watchdog/deadline trips, memory/routing errors, and
 //! transient fault plans alike.  `tests/fleet_identity.rs` pins this
@@ -30,10 +30,7 @@
 //! Fleet×thread composition: instances are independent, so a fleet
 //! splits into contiguous instance ranges, one sub-fleet per worker
 //! thread ([`run_uni_fleet_chunked`]), honouring `SKILLTAX_FLEET_THREADS`
-//! (default: the shared `SKILLTAX_THREADS` resolution).  This composes
-//! with `with_shards` rather than replacing it: a sweep of *big*
-//! machines shards each machine across threads, a fleet of *small*
-//! machines chunks instances across threads.
+//! (default: the shared `SKILLTAX_THREADS` resolution).
 
 use std::ops::Range;
 
@@ -537,7 +534,7 @@ pub fn fleet_threads() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
     {
         Some(n) if n > 0 => n,
-        _ => crate::shard::configured_threads(),
+        _ => crate::sweep::configured_threads(),
     }
 }
 
@@ -1104,8 +1101,7 @@ pub struct FleetChunk {
 /// chunks across worker threads (`threads == 0` resolves via
 /// [`fleet_threads`]).  `init(global_index, fleet, local_index)` seeds
 /// each instance before its chunk runs.  Instances are independent, so
-/// the chunked run is deterministic and bit-identical to one big fleet —
-/// the fleet×thread analog of `with_shards`.
+/// the chunked run is deterministic and bit-identical to one big fleet.
 #[allow(clippy::too_many_arguments)]
 pub fn run_uni_fleet_chunked<I>(
     n: usize,

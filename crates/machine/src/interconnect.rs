@@ -140,11 +140,6 @@ impl Mailboxes {
         self.faults.as_ref().map_or(0, FaultPlan::injected)
     }
 
-    /// Is a fault plan currently installed on the send path?
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The fabric topology.
     pub fn topology(&self) -> FabricTopology {
         self.topology
@@ -196,93 +191,6 @@ impl Mailboxes {
     /// Messages actually delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Carve out a shard-local mailbox set: all queues whose *destination*
-    /// lane lies in `to_range` are moved into a fresh `Mailboxes` of the
-    /// same geometry, which the shard worker owns exclusively (its cores
-    /// are the only receivers on those channels).  `plan` is the shard's
-    /// forked fault plan.  Restore with [`Mailboxes::absorb`].
-    pub fn split_inbound(
-        &mut self,
-        to_range: std::ops::Range<usize>,
-        plan: Option<FaultPlan>,
-    ) -> Mailboxes {
-        let mut child = Mailboxes::new(self.n, self.topology);
-        child.faults = plan;
-        child.cycle = self.cycle;
-        for from in 0..self.n {
-            for to in to_range.clone() {
-                let idx = from * self.n + to;
-                if !self.queues[idx].is_empty() {
-                    self.non_empty -= 1;
-                    child.non_empty += 1;
-                    std::mem::swap(&mut self.queues[idx], &mut child.queues[idx]);
-                }
-            }
-        }
-        child
-    }
-
-    /// Drain every queue of a shard-local mailbox set back into this one
-    /// and accumulate its delivery count (fault-injection counts are read
-    /// separately via [`Mailboxes::faults_injected`] before absorbing).
-    pub fn absorb(&mut self, child: Mailboxes) {
-        for (idx, queue) in child.queues.into_iter().enumerate() {
-            if queue.is_empty() {
-                continue;
-            }
-            if self.queues[idx].is_empty() {
-                self.non_empty += 1;
-            }
-            self.queues[idx].extend(queue);
-        }
-        self.delivered += child.delivered;
-    }
-
-    /// Enqueue an already-validated message (a staged cross-shard send
-    /// whose route and fault checks ran on the sender's side).
-    pub fn deposit(&mut self, from: usize, to: usize, value: Word) {
-        let queue = &mut self.queues[from * self.n + to];
-        queue.push_back(value);
-        if queue.len() == 1 {
-            self.non_empty += 1;
-        }
-    }
-
-    /// Run the send-path checks (route + fault plan) *without* enqueueing:
-    /// the cross-shard half of [`Mailboxes::send`].  Returns the value to
-    /// stage, or `None` when the plan dropped the message in flight.
-    /// Callers that shard must gate out plans with per-send random rolls
-    /// (see [`FaultPlan::has_message_rolls`]); link outages are
-    /// deterministic and check identically here.
-    pub fn prepare_send(
-        &mut self,
-        from: usize,
-        to: usize,
-        value: Word,
-    ) -> Result<Option<Word>, MachineError> {
-        self.topology.route(from, to, self.n)?;
-        let mut value = value;
-        if let Some(plan) = self.faults.as_mut() {
-            if plan.link_down(self.cycle, from, to) {
-                return Err(MachineError::LinkDown {
-                    from,
-                    to,
-                    cycle: self.cycle,
-                });
-            }
-            if plan.should_drop() {
-                return Ok(None);
-            }
-            value = plan.corrupt(value);
-        }
-        Ok(Some(value))
-    }
-
-    /// Is at least one message queued on the `from -> to` channel?
-    pub fn has_pending(&self, to: usize, from: usize) -> bool {
-        !self.queues[from * self.n + to].is_empty()
     }
 
     /// Are any messages still in flight?  O(1): the non-empty-channel

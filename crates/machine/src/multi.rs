@@ -15,7 +15,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use skilltax_model::{ArchSpec, Count, Link, Relation};
 
@@ -29,7 +28,6 @@ use crate::isa::{Instr, Word};
 use crate::mem::{BankedMemory, DataTopology};
 use crate::profile::Phase;
 use crate::program::Program;
-use crate::shard::{plan_cuts, resolve_shards, SenseBarrier, StageTracer, StagedOp};
 use crate::telemetry::{EventKind, FaultKind, NullTracer, Tracer};
 use crate::uniprocessor::DEFAULT_CYCLE_LIMIT;
 
@@ -117,7 +115,6 @@ pub struct MultiMachine {
     mailboxes: Mailboxes,
     cycle_limit: u64,
     dense_reference: bool,
-    shards: usize,
     cancel: CancelToken,
 }
 
@@ -151,23 +148,8 @@ impl MultiMachine {
             mailboxes: Mailboxes::new(cores, fabric),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             dense_reference: false,
-            shards: 1,
             cancel: CancelToken::new(),
         }
-    }
-
-    /// Request shard-parallel execution over (up to) `shards` worker
-    /// threads (`0` = auto: the `SKILLTAX_THREADS` override, else
-    /// `available_parallelism`; `1` = single-threaded, the default).
-    ///
-    /// Sharding is bit-identical to the single-threaded schedulers —
-    /// same `Stats`, same telemetry per-class totals, same errors — and
-    /// silently falls back to them whenever a run cannot shard (shared
-    /// data memory, per-cycle or per-send fault rolls, rebound lanes, or
-    /// message flows that forbid every cut; see DESIGN.md §10).
-    pub fn with_shards(mut self, shards: usize) -> MultiMachine {
-        self.shards = shards;
-        self
     }
 
     /// Override the livelock guard.
@@ -178,10 +160,9 @@ impl MultiMachine {
 
     /// Install a cancellation token for subsequent runs.  A deadline
     /// stops the run after exactly that many simulated cycles, with
-    /// partial [`Stats`] bit-identical across the dense, event and
-    /// sharded schedulers; the asynchronous flag stops promptly (dense
-    /// and event loops poll it per cycle, the shard coordinator once per
-    /// slice).
+    /// partial [`Stats`] bit-identical across the dense and event
+    /// schedulers; the asynchronous flag stops promptly (both loops poll
+    /// it per cycle).
     pub fn with_cancel(mut self, cancel: CancelToken) -> MultiMachine {
         self.cancel = cancel;
         self
@@ -381,9 +362,7 @@ impl MultiMachine {
     ///
     /// Dispatches to the event-driven scheduler unless the dense
     /// reference loop was requested or the plan rolls the PRNG on every
-    /// cycle (which skipping cycles would desynchronise).  When
-    /// [`MultiMachine::with_shards`] asked for parallelism and the run is
-    /// shardable, the shard-parallel runner takes over instead.
+    /// cycle (which skipping cycles would desynchronise).
     fn execute_with<T: Tracer>(
         &mut self,
         library: &[&Program],
@@ -393,72 +372,9 @@ impl MultiMachine {
     ) -> Result<RunOutcome, MachineError> {
         if self.dense_reference || faults.as_ref().is_some_and(FaultPlan::has_per_cycle_rolls) {
             self.execute_dense(library, assignment, faults, tracer)
-        } else if let Some(cuts) = self.shard_partition(library, assignment, faults.as_ref()) {
-            self.execute_sharded(library, assignment, faults, &cuts, tracer)
         } else {
             self.execute_event(library, assignment, faults, tracer)
         }
-    }
-
-    /// Decide whether this run can shard, and into which contiguous core
-    /// ranges.  Returns the shard start indices, or `None` to fall back
-    /// to the single-threaded event scheduler.
-    ///
-    /// A run shards only when every condition below holds; each is a
-    /// determinism requirement, not a tuning choice (DESIGN.md §10):
-    ///
-    /// * more than one shard resolves from the knob;
-    /// * private memory banks (a shared crossbar serialises every access
-    ///   globally);
-    /// * the identity IP→DP binding (rebinding mixes lane ownership
-    ///   across shards);
-    /// * no per-send fault rolls on the plan, and no stale mailbox plan
-    ///   from an earlier faulted run when this run carries none;
-    /// * a legal cut exists: a shard boundary may not split a *forward*
-    ///   message edge (sender index < receiver index), because the dense
-    ///   order makes such a message visible to the receiver in the same
-    ///   cycle, which cross-shard staging cannot reproduce.  Backward
-    ///   edges shard freely — their receivers run before the sender in
-    ///   dense order, so delivery always lands a cycle later anyway.
-    fn shard_partition(
-        &self,
-        library: &[&Program],
-        assignment: &[usize],
-        faults: Option<&FaultPlan>,
-    ) -> Option<Vec<usize>> {
-        if self.shards == 1 {
-            return None;
-        }
-        let shards = resolve_shards(self.shards);
-        if shards < 2 {
-            return None;
-        }
-        if self.mem.topology() != DataTopology::PrivateBanks {
-            return None;
-        }
-        if self.binding.iter().enumerate().any(|(i, &b)| i != b) {
-            return None;
-        }
-        match faults {
-            Some(plan) if plan.has_message_rolls() => return None,
-            None if self.mailboxes.has_fault_plan() => return None,
-            _ => {}
-        }
-        let n = self.cores.len();
-        let mut allowed = vec![true; n];
-        allowed[0] = false;
-        for (i, &prog) in assignment.iter().enumerate() {
-            for instr in library[prog].instrs() {
-                if let Instr::Send(dest, _) = *instr {
-                    if i < dest && dest < n {
-                        for slot in &mut allowed[i + 1..=dest] {
-                            *slot = false;
-                        }
-                    }
-                }
-            }
-        }
-        plan_cuts(n, shards, &allowed)
     }
 
     /// The dense reference loop: every core is visited on every cycle.
@@ -550,9 +466,9 @@ impl MultiMachine {
                 // the deadlock sense (it always ends).  The query sits
                 // exactly here — after the backoff and blocked-receive
                 // checks — so every scheduler asks the same (cycle, dp)
-                // set: the stall roll is a pure hash, and dense, event
-                // and sharded runs all reach this point for exactly the
-                // cores that are about to fetch.
+                // set: the stall roll is a pure hash, and dense and event
+                // runs both reach this point for exactly the cores that
+                // are about to fetch.
                 if let Some(plan) = faults.as_mut() {
                     if plan.dp_stalled(stats.cycles, self.binding[i]) {
                         stats.stalls += 1;
@@ -1049,540 +965,6 @@ impl MultiMachine {
         })
     }
 
-    /// The shard-parallel runner: a bulk-synchronous mirror of
-    /// [`MultiMachine::execute_dense`], advanced one cycle-slice at a
-    /// time (PR 4 proved the dense loop counter-identical to the event
-    /// scheduler, so mirroring it transitively matches both).
-    ///
-    /// Cores are partitioned into the contiguous shards given by `cuts`;
-    /// each worker thread owns its shard's cores, retry states, private
-    /// memory banks and the inbound half of its mailbox channels.  Every
-    /// slice:
-    ///
-    /// 1. the coordinator publishes the next cycle — possibly warping
-    ///    over cycles where no core can act, charging each dormant core
-    ///    one stall per skipped cycle exactly like the dense loop would;
-    /// 2. workers deposit cross-shard messages staged by the previous
-    ///    slice, then run the dense per-core body over their own cores,
-    ///    staging tracer calls and outbound cross-shard sends;
-    /// 3. at the barrier the coordinator commits every report in
-    ///    ascending shard order — which *is* dense core order — so
-    ///    `Stats`, telemetry per-class totals, errors and fault
-    ///    behaviour come out bit-identical to the single-threaded
-    ///    schedulers (DESIGN.md §10).
-    ///
-    /// On an error the erring shard stops its scan at the faulting core;
-    /// shards before it commit their whole slice, shards after it only
-    /// their warp charges, because the dense loop never reaches their
-    /// cores on the error cycle.
-    fn execute_sharded<T: Tracer>(
-        &mut self,
-        library: &[&Program],
-        assignment: &[usize],
-        mut faults: Option<FaultPlan>,
-        cuts: &[usize],
-        tracer: &mut T,
-    ) -> Result<RunOutcome, MachineError> {
-        let n = self.cores.len();
-        let k = cuts.len();
-        let mut shard_plans: Vec<Option<FaultPlan>> = Vec::with_capacity(k);
-        if let Some(plan) = faults.as_mut() {
-            let mut master = plan.fork();
-            for _ in 0..k {
-                shard_plans.push(Some(master.fork()));
-            }
-            // Leave a plan installed like the single-threaded paths do.
-            // It never rolls or injects here: shardable plans are
-            // roll-free on the send path and the parent sends nothing.
-            self.mailboxes.install_faults(master);
-        } else {
-            shard_plans.resize_with(k, || None);
-        }
-        for (core, &prog) in self.cores.iter_mut().zip(assignment) {
-            core.pc = 0;
-            core.program = prog;
-            core.halted = false;
-            core.waiting = None;
-        }
-        let base_counters: Vec<(u64, u64, u64)> =
-            self.cores.iter().map(|c| c.dp.counters()).collect();
-        let max_retries = faults
-            .as_ref()
-            .map_or(DEFAULT_MAX_RETRIES, FaultPlan::max_retries);
-        let budget = RunBudget::resolve(self.cycle_limit, &self.cancel);
-        let limit = budget.limit();
-        let cancel = self.cancel.clone();
-        let subtype = self.subtype;
-        let live = tracer.enabled();
-
-        // Carve the machine into per-shard state: disjoint `&mut` slices
-        // of the cores and retry states, plus owned memory banks and
-        // inbound mailbox channels that return at the end of the run.
-        let mut retry = vec![RetryState::default(); n];
-        type Seat<'m> = (
-            usize,
-            &'m mut [Core],
-            &'m mut [RetryState],
-            BankedMemory,
-            Mailboxes,
-            Option<FaultPlan>,
-        );
-        let mut seats: Vec<Seat<'_>> = Vec::with_capacity(k);
-        {
-            let mut cores_rest: &mut [Core] = &mut self.cores;
-            let mut retry_rest: &mut [RetryState] = &mut retry;
-            for (s, plan) in shard_plans.into_iter().enumerate() {
-                let start = cuts[s];
-                let end = cuts.get(s + 1).copied().unwrap_or(n);
-                let (cores_here, cores_tail) = cores_rest.split_at_mut(end - start);
-                cores_rest = cores_tail;
-                let (retry_here, retry_tail) = retry_rest.split_at_mut(end - start);
-                retry_rest = retry_tail;
-                let mem = self.mem.split_lanes(start..end);
-                let mb = self.mailboxes.split_inbound(start..end, plan);
-                // Each seat gets its own fork for the fetch-stage stall
-                // query: the stall decision is a pure hash of the seed
-                // and `(cycle, dp)`, so the forks agree with the dense
-                // loop's single plan; their injected counts sum to it.
-                let stall_plan = faults.as_mut().map(FaultPlan::fork);
-                seats.push((start, cores_here, retry_here, mem, mb, stall_plan));
-            }
-        }
-        let barrier = SenseBarrier::new(k + 1);
-        let decision = Mutex::new(SliceDecision::Stop);
-        let slots: Vec<Mutex<SliceReport>> =
-            (0..k).map(|_| Mutex::new(SliceReport::default())).collect();
-        let staging: Vec<Mutex<Vec<(usize, usize, Word)>>> =
-            (0..k).map(|_| Mutex::new(Vec::new())).collect();
-
-        let (run_result, mut stats, retries_total, children) = std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .enumerate()
-                .map(
-                    |(s, (base, cores, retry_slice, mut mem, mut mb, mut stall_plan))| {
-                        let barrier = &barrier;
-                        let decision = &decision;
-                        let slot = &slots[s];
-                        let staging_slot = &staging[s];
-                        scope.spawn(move || {
-                            let mut sense = false;
-                            let mut stage = StageTracer {
-                                live,
-                                ops: Vec::new(),
-                            };
-                            let shard_len = cores.len();
-                            loop {
-                                barrier.wait(&mut sense);
-                                let SliceDecision::Run { cycle, skipped } =
-                                    *decision.lock().expect("decision lock")
-                                else {
-                                    break;
-                                };
-                                {
-                                    let mut inbound = staging_slot.lock().expect("staging lock");
-                                    for (from, to, value) in inbound.drain(..) {
-                                        mb.deposit(from, to, value);
-                                    }
-                                }
-                                let mut report = slot.lock().expect("report lock");
-                                stage.ops = std::mem::take(&mut report.ops);
-                                let mut outbox = std::mem::take(&mut report.outbox);
-                                let mut pre_stalls = 0u64;
-                                if skipped > 0 {
-                                    let dormant = cores.iter().filter(|c| !c.halted).count() as u64;
-                                    if dormant > 0 {
-                                        pre_stalls = skipped * dormant;
-                                        stage.record_many(cycle - 1, EventKind::Stall, pre_stalls);
-                                    }
-                                }
-                                let pre_len = stage.ops.len();
-                                mb.set_cycle(cycle);
-                                let mut scan = Stats::default();
-                                let mut retries = 0u64;
-                                let mut progress = false;
-                                let mut error: Option<MachineError> = None;
-                                'scan: for j in 0..shard_len {
-                                    let i = base + j;
-                                    if cores[j].halted {
-                                        continue;
-                                    }
-                                    if !retry_slice[j].ready(cycle) {
-                                        scan.stalls += 1;
-                                        stage.record(cycle, EventKind::Stall);
-                                        progress = true;
-                                        continue;
-                                    }
-                                    if let Some((rd, src)) = cores[j].waiting {
-                                        match mb.recv(i, src) {
-                                            Ok(Some(v)) => {
-                                                cores[j].dp.set_reg(rd, v);
-                                                cores[j].waiting = None;
-                                                cores[j].pc += 1;
-                                                scan.messages += 1;
-                                                stage.record(
-                                                    cycle,
-                                                    EventKind::Message { from: src, to: i },
-                                                );
-                                                stage.record(cycle, EventKind::CrossbarTraversal);
-                                                progress = true;
-                                            }
-                                            Ok(None) => {
-                                                scan.stalls += 1;
-                                                stage.record(cycle, EventKind::Stall);
-                                            }
-                                            Err(e) => {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                        }
-                                        continue;
-                                    }
-                                    // Same fetch-stage stall query as the
-                                    // dense loop (sharding binds lane i to
-                                    // core i, so `i` is the dp index).
-                                    if let Some(plan) = stall_plan.as_mut() {
-                                        if plan.dp_stalled(cycle, i) {
-                                            scan.stalls += 1;
-                                            stage.record(
-                                                cycle,
-                                                EventKind::FaultInjected(FaultKind::Stall),
-                                            );
-                                            stage.record(cycle, EventKind::Stall);
-                                            progress = true;
-                                            continue;
-                                        }
-                                    }
-                                    let program = library[cores[j].program];
-                                    let Some(instr) = program.fetch(cores[j].pc) else {
-                                        cores[j].halted = true;
-                                        progress = true;
-                                        continue;
-                                    };
-                                    match instr {
-                                        Instr::GetLane(..) => {
-                                            error = Some(MachineError::unsupported(
-                                                subtype.class_name(),
-                                                "getlane is a lockstep-SIMD exchange; independent \
-                                             cores communicate with send/recv",
-                                            ));
-                                            break 'scan;
-                                        }
-                                        Instr::Send(dest, rs) => {
-                                            if dest >= n {
-                                                error = Some(MachineError::RouteDenied {
-                                                    from: i,
-                                                    to: dest,
-                                                    reason: format!(
-                                                        "destination {dest} out of range"
-                                                    ),
-                                                });
-                                                break 'scan;
-                                            }
-                                            let value = cores[j].dp.reg(rs);
-                                            let sent = if dest >= base && dest < base + shard_len {
-                                                mb.send(i, dest, value)
-                                            } else {
-                                                // Cross-shard: run the send-path
-                                                // checks locally, stage delivery
-                                                // for the barrier.
-                                                mb.prepare_send(i, dest, value).map(|staged| {
-                                                    if let Some(v) = staged {
-                                                        outbox.push((i, dest, v));
-                                                    }
-                                                })
-                                            };
-                                            match sent {
-                                                Ok(()) => {
-                                                    retry_slice[j] = RetryState::default();
-                                                    cores[j].pc += 1;
-                                                    scan.instructions += 1;
-                                                    stage.record(cycle, EventKind::Issue);
-                                                    progress = true;
-                                                }
-                                                Err(MachineError::LinkDown {
-                                                    from, to, ..
-                                                }) => {
-                                                    match retry_slice[j].back_off(
-                                                        cycle,
-                                                        from,
-                                                        to,
-                                                        max_retries,
-                                                    ) {
-                                                        Ok(delay) => {
-                                                            retries += 1;
-                                                            scan.stalls += 1;
-                                                            stage.record(
-                                                                cycle,
-                                                                EventKind::FaultInjected(
-                                                                    FaultKind::LinkDown,
-                                                                ),
-                                                            );
-                                                            stage.record(cycle, EventKind::Retry);
-                                                            stage.record(cycle, EventKind::Stall);
-                                                            stage.counter("retries", 1);
-                                                            stage.sample("backoff.delay", delay);
-                                                            progress = true;
-                                                        }
-                                                        Err(e) => {
-                                                            error = Some(e);
-                                                            break 'scan;
-                                                        }
-                                                    }
-                                                }
-                                                Err(other) => {
-                                                    error = Some(other);
-                                                    break 'scan;
-                                                }
-                                            }
-                                        }
-                                        Instr::Recv(rd, src) => {
-                                            if src >= n {
-                                                error = Some(MachineError::RouteDenied {
-                                                    from: src,
-                                                    to: i,
-                                                    reason: format!("source {src} out of range"),
-                                                });
-                                                break 'scan;
-                                            }
-                                            if let Err(e) = mb.topology().route(src, i, n) {
-                                                error = Some(e);
-                                                break 'scan;
-                                            }
-                                            cores[j].waiting = Some((rd, src));
-                                            scan.instructions += 1;
-                                            stage.record(cycle, EventKind::Issue);
-                                            progress = true;
-                                        }
-                                        _ => {
-                                            scan.instructions += 1;
-                                            stage.record(cycle, EventKind::Issue);
-                                            match cores[j]
-                                                .dp
-                                                .execute_traced(instr, &mut mem, cycle, &mut stage)
-                                            {
-                                                Ok(LocalOutcome::Next) => cores[j].pc += 1,
-                                                Ok(LocalOutcome::Branch(t)) => cores[j].pc = t,
-                                                Ok(LocalOutcome::Halt) => cores[j].halted = true,
-                                                Err(e) => {
-                                                    error = Some(e);
-                                                    break 'scan;
-                                                }
-                                            }
-                                            progress = true;
-                                        }
-                                    }
-                                }
-                                let mut can_act = false;
-                                let mut min_wake: Option<u64> = None;
-                                let mut non_halted = 0u64;
-                                for (j, core) in cores.iter().enumerate() {
-                                    if core.halted {
-                                        continue;
-                                    }
-                                    non_halted += 1;
-                                    if let Some((_, src)) = core.waiting {
-                                        if mb.has_pending(base + j, src) {
-                                            can_act = true;
-                                        }
-                                    } else if retry_slice[j].ready(cycle + 1) {
-                                        can_act = true;
-                                    } else {
-                                        let wake = retry_slice[j].next_attempt;
-                                        min_wake =
-                                            Some(min_wake.map_or(wake, |w: u64| w.min(wake)));
-                                    }
-                                }
-                                report.pre_len = pre_len;
-                                report.pre_stalls = pre_stalls;
-                                report.scan = scan;
-                                report.retries = retries;
-                                report.progress = progress;
-                                report.error = error;
-                                report.can_act = can_act;
-                                report.min_wake = min_wake;
-                                report.non_halted = non_halted;
-                                report.ops = std::mem::take(&mut stage.ops);
-                                report.outbox = outbox;
-                                drop(report);
-                                barrier.wait(&mut sense);
-                            }
-                            (mem, mb, stall_plan)
-                        })
-                    },
-                )
-                .collect();
-
-            let mut sense = false;
-            let mut stats = Stats::default();
-            let mut retries_total: u64 = 0;
-            let shard_of = |core: usize| match cuts.binary_search(&core) {
-                Ok(s) => s,
-                Err(s) => s - 1,
-            };
-            // The aggregates of the previous slice drive the next
-            // decision; the seeds below force the first slice to run
-            // cycle 1, as the dense loop does.
-            let mut agg_can_act = true;
-            let mut agg_staged = false;
-            let mut agg_min_wake: Option<u64> = None;
-            let mut agg_all_halted = false;
-            let mut agg_non_halted = n as u64;
-            // Spans are coordinator-side only: workers stage their tracer
-            // calls, so the coordinator owns the one coherent timeline.
-            tracer.span_enter(0, Phase::Run);
-            tracer.span_enter(0, Phase::Decode);
-            tracer.span_exit(0);
-            tracer.span_enter(0, Phase::Slice);
-            let run_result: Result<(), MachineError> = loop {
-                if agg_all_halted {
-                    break Ok(());
-                }
-                // Only the single-threaded coordinator polls the flag —
-                // once per slice decision — so workers stay deterministic
-                // within a slice.
-                if cancel.flag_raised() {
-                    break Err(flag_trip(stats.cycles, stats, tracer));
-                }
-                if stats.cycles >= limit {
-                    break Err(budget.trip(stats.cycles, stats, tracer));
-                }
-                let (next, skipped) = if agg_can_act || agg_staged {
-                    (stats.cycles + 1, 0)
-                } else if let Some(wake) = agg_min_wake {
-                    if wake > limit {
-                        // Dense burns the rest of the budget stalling
-                        // every dormant core, then trips the watchdog.
-                        let span = limit - stats.cycles;
-                        if span > 0 && agg_non_halted > 0 {
-                            stats.stalls += span * agg_non_halted;
-                            tracer.record_many(limit, EventKind::Stall, span * agg_non_halted);
-                        }
-                        stats.cycles = limit;
-                        break Err(budget.trip(limit, stats, tracer));
-                    }
-                    (wake, wake - stats.cycles - 1)
-                } else {
-                    // Only blocked receivers remain: run the next cycle
-                    // and let the slice observe the deadlock, exactly
-                    // like the dense loop's no-progress check.
-                    (stats.cycles + 1, 0)
-                };
-                if skipped > 0 {
-                    // Same Slice/Warp alternation as the event scheduler,
-                    // so leaves tile [0, cycles] under sharding too.
-                    tracer.span_exit(stats.cycles);
-                    tracer.span_enter(stats.cycles, Phase::Warp);
-                    tracer.span_exit(next - 1);
-                    tracer.span_enter(next - 1, Phase::Slice);
-                }
-                *decision.lock().expect("decision lock") = SliceDecision::Run {
-                    cycle: next,
-                    skipped,
-                };
-                barrier.wait(&mut sense); // release the slice
-                barrier.wait(&mut sense); // all reports are in
-                tracer.span_mark(next, Phase::Barrier);
-                stats.cycles = next;
-                agg_can_act = false;
-                agg_staged = false;
-                agg_min_wake = None;
-                agg_all_halted = true;
-                agg_non_halted = 0;
-                let mut progress = false;
-                let mut error: Option<MachineError> = None;
-                for slot in &slots {
-                    let mut report = slot.lock().expect("report lock");
-                    stats.stalls += report.pre_stalls;
-                    if error.is_none() {
-                        StageTracer::replay(&report.ops, tracer);
-                        stats.instructions += report.scan.instructions;
-                        stats.messages += report.scan.messages;
-                        stats.stalls += report.scan.stalls;
-                        retries_total += report.retries;
-                        progress |= report.progress;
-                        for &(from, to, value) in &report.outbox {
-                            agg_staged = true;
-                            staging[shard_of(to)]
-                                .lock()
-                                .expect("staging lock")
-                                .push((from, to, value));
-                        }
-                        error = report.error.take();
-                        agg_can_act |= report.can_act;
-                        if let Some(wake) = report.min_wake {
-                            agg_min_wake = Some(agg_min_wake.map_or(wake, |w: u64| w.min(wake)));
-                        }
-                        agg_all_halted &= report.non_halted == 0;
-                        agg_non_halted += report.non_halted;
-                    } else {
-                        // Dense never reached this shard's cores on the
-                        // error cycle: commit only its warp charges.
-                        StageTracer::replay(&report.ops[..report.pre_len], tracer);
-                    }
-                    report.ops.clear();
-                    report.outbox.clear();
-                    report.pre_len = 0;
-                    report.pre_stalls = 0;
-                }
-                if let Some(e) = error {
-                    break Err(e);
-                }
-                if !progress {
-                    break Err(MachineError::Deadlock { cycle: next });
-                }
-            };
-            if run_result.is_ok() {
-                tracer.span_exit(stats.cycles);
-                tracer.span_exit(stats.cycles);
-            }
-            *decision.lock().expect("decision lock") = SliceDecision::Stop;
-            barrier.wait(&mut sense);
-            let children: Vec<(BankedMemory, Mailboxes, Option<FaultPlan>)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            (run_result, stats, retries_total, children)
-        });
-
-        // Reassemble the machine: banks and mailbox channels return to
-        // the parent, then any cross-shard messages staged on the very
-        // last slice land in their destination queues (the dense loop
-        // would have enqueued them directly).
-        let mut mailbox_faults = 0u64;
-        for (mem_child, mb_child, stall_plan) in children {
-            mailbox_faults += mb_child.faults_injected();
-            mailbox_faults += stall_plan.map_or(0, |p| p.injected());
-            self.mem.absorb_lanes(mem_child);
-            self.mailboxes.absorb(mb_child);
-        }
-        for slot in &staging {
-            let mut staged = slot.lock().expect("staging lock");
-            for (from, to, value) in staged.drain(..) {
-                self.mailboxes.deposit(from, to, value);
-            }
-        }
-        run_result?;
-        for (i, core) in self.cores.iter().enumerate() {
-            let (alu, mr, mw) = core.dp.counters();
-            let (b_alu, b_mr, b_mw) = base_counters[i];
-            stats.alu_ops += alu - b_alu;
-            stats.mem_reads += mr - b_mr;
-            stats.mem_writes += mw - b_mw;
-            if tracer.enabled() {
-                tracer.sample("dp.alu_ops", alu - b_alu);
-                tracer.sample("dp.mem_ops", (mr - b_mr) + (mw - b_mw));
-            }
-        }
-        let faults_injected = faults.as_ref().map_or(0, FaultPlan::injected) + mailbox_faults;
-        Ok(RunOutcome {
-            stats,
-            faults_injected,
-            retries: retries_total,
-            degraded: false,
-        })
-    }
-
     /// Run one program per core under a fault plan, degrading gracefully
     /// where the sub-type's switches allow it.
     ///
@@ -1673,52 +1055,6 @@ impl MultiMachine {
         outcome.degraded = true;
         Ok(outcome)
     }
-}
-
-/// The coordinator's per-slice instruction to every shard worker.
-#[derive(Debug, Clone, Copy)]
-enum SliceDecision {
-    /// Advance to `cycle`; `skipped` idle cycles were warped over first,
-    /// each charging every non-halted core one stall (the dense loop
-    /// visits those cycles and stalls everyone).
-    Run {
-        /// The cycle this slice simulates.
-        cycle: u64,
-        /// Warped-over idle cycles preceding it.
-        skipped: u64,
-    },
-    /// The run is over; workers exit and return their state.
-    Stop,
-}
-
-/// What one shard worker observed in one cycle-slice.  `ops[..pre_len]`
-/// holds the warp charges, committed unconditionally; the rest is the
-/// scan, which the coordinator discards for shards after an erring one
-/// (the dense loop never reaches their cores on the error cycle).
-#[derive(Debug, Default)]
-struct SliceReport {
-    /// Staged tracer calls (warp charges first, then the scan).
-    ops: Vec<StagedOp>,
-    /// Boundary between warp and scan ops.
-    pre_len: usize,
-    /// Stalls charged by the warp.
-    pre_stalls: u64,
-    /// Stats deltas charged by the scan (instructions/messages/stalls).
-    scan: Stats,
-    /// Send retries performed during the scan.
-    retries: u64,
-    /// Did any core make dense-sense forward progress?
-    progress: bool,
-    /// First error hit during the scan, in core order.
-    error: Option<MachineError>,
-    /// Cross-shard sends staged for delivery at the next slice.
-    outbox: Vec<(usize, usize, Word)>,
-    /// Can some local core act on the very next cycle?
-    can_act: bool,
-    /// Earliest backoff wake among local cores, if any sleep.
-    min_wake: Option<u64>,
-    /// Local cores still running.
-    non_halted: u64,
 }
 
 /// Settle the deferred stalls of every blocked receiver for the cycles

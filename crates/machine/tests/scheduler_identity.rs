@@ -15,11 +15,13 @@ use skilltax_machine::universal::{
     program_counter, Bitstream, CellConfig, LutCell, LutFabric, Source,
 };
 use skilltax_machine::workload::{
-    run_backoff_storm_multi_traced, run_mimd_stagger_multi_traced, run_reduce_dataflow_with,
-    run_stagger_spatial_traced,
+    run_backoff_storm_backward_multi_traced, run_backoff_storm_multi_traced,
+    run_fabric_counters_traced, run_mimd_stagger_multi_traced, run_reduce_dataflow_with,
+    run_ring_shift_multi_traced, run_stagger_spatial_traced,
 };
 use skilltax_machine::{
-    Assembler, FaultPlan, Instr, MachineError, NullTracer, Program, Stats, Telemetry, Word,
+    Assembler, FaultPlan, Instr, MachineError, NullTracer, Program, RunOutcome, Stats, Telemetry,
+    Word,
 };
 
 /// Run a closure once per scheduler and assert identical outcomes: equal
@@ -46,6 +48,30 @@ where
         dense_telemetry.trace.class_counts(),
         "{label}: event-class totals diverged"
     );
+}
+
+/// [`assert_twin`] for resilient runs: the whole [`RunOutcome`] (stats,
+/// injected faults, retries) must match, as must the event-class totals.
+/// Returns the dense outcome.
+fn assert_resilient_twin<F>(label: &str, mut run: F) -> Result<RunOutcome, MachineError>
+where
+    F: FnMut(bool, &mut Telemetry) -> Result<RunOutcome, MachineError>,
+{
+    let mut event_telemetry = Telemetry::new();
+    let mut dense_telemetry = Telemetry::new();
+    let event = run(false, &mut event_telemetry);
+    let dense = run(true, &mut dense_telemetry);
+    assert_eq!(
+        format!("{event:?}"),
+        format!("{dense:?}"),
+        "{label}: outcomes diverged"
+    );
+    assert_eq!(
+        event_telemetry.trace.class_counts(),
+        dense_telemetry.trace.class_counts(),
+        "{label}: event-class totals diverged"
+    );
+    dense
 }
 
 /// Count to `iters` and halt (no memory traffic).
@@ -170,6 +196,88 @@ fn multi_backoff_storm_identity() {
     });
 }
 
+#[test]
+fn multi_backward_backoff_storm_identity() {
+    // The same storm across a 1→0 link: the receiver is visited before
+    // the sender, so delivery lands a cycle after the successful send.
+    assert_twin("backward backoff storm", |dense, t| {
+        run_backoff_storm_backward_multi_traced(3_000, 60, dense, t).map(|r| r.stats)
+    });
+    assert_twin("backward retry exhausted", |dense, t| {
+        run_backoff_storm_backward_multi_traced(u64::MAX, 5, dense, t).map(|r| r.stats)
+    });
+}
+
+#[test]
+fn multi_ring_shift_identity() {
+    for cores in [4usize, 16, 48] {
+        assert_twin(&format!("ring shift {cores}"), |dense, t| {
+            run_ring_shift_multi_traced(cores, dense, t).map(|r| r.stats)
+        });
+        // Every core but the last receives its upstream neighbour's value.
+        for dense in [false, true] {
+            let run = run_ring_shift_multi_traced(cores, dense, &mut NullTracer).unwrap();
+            for (i, &v) in run.outputs.iter().enumerate() {
+                let expected = if i + 1 == cores {
+                    0
+                } else {
+                    100 + (i as Word) + 1
+                };
+                assert_eq!(v, expected, "core {i} of {cores} dense={dense}");
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_forward_send_identity() {
+    // Core 0 sends to core 1 while core 1 sits on the receive: the dense
+    // scan visits the sender first, so the message lands the same cycle.
+    assert_twin("forward send", |dense, t| {
+        let mut m = MultiMachine::new(MultiSubtype::from_index(2).unwrap(), 2, 4)
+            .with_dense_reference(dense);
+        let mut sender = Assembler::new();
+        sender.movi(2, 7).emit(Instr::Send(1, 2)).emit(Instr::Halt);
+        let mut receiver = Assembler::new();
+        receiver.emit(Instr::Recv(2, 0)).emit(Instr::Halt);
+        m.run_traced(
+            &[sender.assemble().unwrap(), receiver.assemble().unwrap()],
+            t,
+        )
+    });
+}
+
+#[test]
+fn multi_stall_storm_identity() {
+    // Transient stalls are a pure hash of (stall_seed, cycle, core), so
+    // both schedulers must agree on the full RunOutcome — Stats including
+    // the stall total, faults_injected — and on the per-event-class
+    // telemetry.
+    let programs: Vec<Program> = (0..8).map(|i| spin_program(20 + 15 * i as Word)).collect();
+    for rate in [0.2, 0.9] {
+        assert_resilient_twin(&format!("stall rate {rate}"), |dense, t| {
+            let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 8, 4)
+                .with_dense_reference(dense);
+            m.run_resilient_traced(&programs, FaultPlan::seeded(21).stall_dps(rate), t)
+        })
+        .expect("transient stalls always end");
+    }
+}
+
+#[test]
+fn multi_stall_watchdog_identity() {
+    // Stalls held through a watchdog trip: the partial stats embedded in
+    // the error must carry identical stall totals.
+    let programs = vec![spin_program(10_000); 8];
+    let outcome = assert_resilient_twin("stall watchdog", |dense, t| {
+        let mut m = MultiMachine::new(MultiSubtype::from_index(1).unwrap(), 8, 4)
+            .with_cycle_limit(60)
+            .with_dense_reference(dense);
+        m.run_resilient_traced(&programs, FaultPlan::seeded(33).stall_dps(0.5), t)
+    });
+    assert!(matches!(outcome, Err(MachineError::WatchdogTimeout { .. })));
+}
+
 // -------------------------------------------------------------------------
 // Spatial (ISP)
 // -------------------------------------------------------------------------
@@ -219,6 +327,34 @@ fn spatial_watchdog_identity() {
         .with_cycle_limit(30)
         .with_dense_reference(dense);
         m.run_traced(&vec![spin_program(1_000); 4], t)
+    });
+}
+
+#[test]
+fn spatial_unsupported_instruction_identity() {
+    // A fused group whose leader issues an explicit Send errors out; the
+    // error and the work committed before it must not depend on the
+    // scheduler.
+    assert_twin("spatial unsupported send", |dense, t| {
+        let mut m = SpatialMachine::new(
+            MultiSubtype::from_index(2).unwrap(),
+            FabricTopology::Crossbar,
+            4,
+            4,
+        )
+        .unwrap()
+        .with_dense_reference(dense);
+        m.fuse(0, 1).unwrap();
+        m.fuse(2, 3).unwrap();
+        let mut bad = Assembler::new();
+        bad.movi(0, 1).emit(Instr::Send(3, 0)).emit(Instr::Halt);
+        let programs = vec![
+            spin_program(10),
+            spin_program(1),
+            bad.assemble().unwrap(),
+            spin_program(1),
+        ];
+        m.run_traced(&programs, t)
     });
 }
 
@@ -430,5 +566,25 @@ fn fabric_run_until_identity() {
             .with_dense_reference(dense);
         pc.run_until_traced(&no_branch, 32, |_| false, t)
             .map(|(_, stats)| stats)
+    });
+}
+
+#[test]
+fn fabric_counters_identity() {
+    for regions in [2usize, 5, 9] {
+        assert_twin(&format!("fabric counters {regions}"), |dense, t| {
+            run_fabric_counters_traced(regions, 1_000, dense, t).map(|r| r.stats)
+        });
+        // Every region's chain has gone high, one region per edge.
+        for dense in [false, true] {
+            let run = run_fabric_counters_traced(regions, 1_000, dense, &mut NullTracer).unwrap();
+            assert_eq!(run.outputs, vec![1; regions], "dense={dense}");
+            assert_eq!(run.stats.cycles, regions as u64, "dense={dense}");
+        }
+    }
+    // A limit below the longest chain's depth trips the watchdog with
+    // identical partial stats.
+    assert_twin("fabric counters watchdog", |dense, t| {
+        run_fabric_counters_traced(6, 4, dense, t).map(|r| r.stats)
     });
 }

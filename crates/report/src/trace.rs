@@ -85,7 +85,7 @@ mod tests {
                 ("run".to_owned(), 0, 100, None),
                 ("slice".to_owned(), 0, 100, Some(0)),
             ],
-            marks: vec![("barrier".to_owned(), 40)],
+            marks: vec![("delivery".to_owned(), 40)],
             scale: 1.0,
         }
     }

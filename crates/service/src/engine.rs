@@ -312,7 +312,6 @@ impl Engine {
         match scheduler {
             Scheduler::Dense => m.with_dense_reference(true),
             Scheduler::Event => m,
-            Scheduler::Sharded(n) => m.with_shards(n),
         }
     }
 
@@ -753,8 +752,6 @@ mod tests {
         };
         let dense = run(Scheduler::Dense);
         assert_eq!(dense, run(Scheduler::Event));
-        assert_eq!(dense, run(Scheduler::Sharded(2)));
-        assert_eq!(dense, run(Scheduler::Sharded(0)));
     }
 
     #[test]

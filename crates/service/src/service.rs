@@ -132,7 +132,7 @@ pub struct JobTrace {
     pub cycles: u64,
     /// The strictly nested span tree, job-relative nanoseconds.
     pub spans: Vec<TraceSpan>,
-    /// Instant markers (`barrier`, `delivery`, `retry`, …) as
+    /// Instant markers (`delivery`, `retry`, `degrade`, …) as
     /// `(label, stamp_ns)`.
     pub marks: Vec<(String, u64)>,
 }

@@ -138,6 +138,25 @@ fn malformed_and_oversized_map_to_typed_4xx() {
 }
 
 #[test]
+fn only_dense_and_event_schedulers_are_accepted() {
+    let (_service, server) = start(8, 1);
+    let addr = server.local_addr();
+    let job = "tenant=t&kind=simulate&cores=4&iters=200&scheduler=";
+    let response = post_jobs(addr, &format!("{job}sharded:2"));
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(
+        response.contains("\"rejected\":\"malformed\""),
+        "{response}"
+    );
+    assert!(response.contains("dense|event"), "{response}");
+    let dense = post_jobs(addr, &format!("{job}dense"));
+    assert!(dense.starts_with("HTTP/1.1 200 OK"), "{dense}");
+    let event = post_jobs(addr, &format!("{job}event"));
+    let body = |r: &str| r.split_once("\r\n\r\n").map(|(_, b)| b.to_owned());
+    assert_eq!(body(&dense), body(&event), "schedulers disagree");
+}
+
+#[test]
 fn a_full_queue_is_429_with_a_retry_after_header() {
     let (service, server) = start(2, 1);
     service.pause();

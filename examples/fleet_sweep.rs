@@ -9,8 +9,8 @@
 //!
 //! 1. a uni-processor parameter sweep with data-dependent divergence
 //!    (each instance spins a different bound, so pc-cohorts regroup),
-//! 2. a chunked fleet across worker threads (the fleet×thread analog of
-//!    `with_shards`),
+//! 2. a chunked fleet across worker threads (contiguous instance ranges,
+//!    one sub-fleet per worker),
 //! 3. a seeded Monte-Carlo fault study on an array machine, fleet vs
 //!    per-seed `run_resilient`.
 //!

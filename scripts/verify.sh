@@ -31,18 +31,17 @@ done
 echo "==> cargo test --release --offline -p skilltax-machine --test scheduler_identity"
 cargo test --release --offline -p skilltax-machine --test scheduler_identity -q
 
-# Shard + fleet identity: the shard-parallel runners must stay
-# counter-exact twins of the single-threaded schedulers (DESIGN.md §10),
-# and the structure-of-arrays fleet executor must stay bit-identical to
-# N sequential dense runs (DESIGN.md §14) — at every thread width, so
-# both suites repeat under a pinned SKILLTAX_THREADS: 1 (auto collapses
-# to single-threaded), 2 and 8 (oversubscribed on small hosts, which is
-# exactly the stress the barrier and the chunked fleet must survive).
+# Fleet identity: the structure-of-arrays fleet executor must stay
+# bit-identical to N sequential dense runs (DESIGN.md §14) at every
+# thread width, so the suite repeats under a pinned SKILLTAX_THREADS:
+# 1 (auto collapses to single-threaded), 2 and 8 (oversubscribed on
+# small hosts, which is exactly the stress the chunked fleet must
+# survive).
 for threads in 1 2 8; do
-    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --test shard_identity --test fleet_identity"
+    echo "==> SKILLTAX_THREADS=$threads cargo test --release --offline -p skilltax-machine --test fleet_identity"
     SKILLTAX_THREADS=$threads \
         cargo test --release --offline -p skilltax-machine \
-        --test shard_identity --test fleet_identity -q
+        --test fleet_identity -q
 done
 
 # The same fleet-identity suite with the wide lane kernels compiled to
