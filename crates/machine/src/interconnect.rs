@@ -4,7 +4,9 @@
 //! transfers, a full crossbar routes anything, and a *windowed* fabric
 //! (DRRA's 3-hop / 14-element neighbourhood, written `nx14` in Table III)
 //! routes only within a distance bound.  Message passing itself is modelled
-//! with per-channel mailboxes.
+//! with one FIFO inbox per destination: state grows with the endpoint
+//! count, not with the number of endpoint pairs, so a large machine with
+//! no DP–DP switch (IMP-I) costs nothing it cannot use.
 
 use std::collections::VecDeque;
 
@@ -88,7 +90,13 @@ impl FabricTopology {
     }
 }
 
-/// Per-channel FIFO mailboxes for message transfers over a fabric.
+/// Per-destination FIFO inboxes for message transfers over a fabric.
+///
+/// Each endpoint owns one inbox of `(source, value)` entries in arrival
+/// order.  A receive from `from` takes the *first* entry from that source,
+/// so every `from → to` channel stays FIFO while different sources into
+/// one inbox are matched independently.  Construction is O(endpoints); a
+/// receive costs O(messages queued at that receiver).
 ///
 /// When a [`FaultPlan`] is installed (via [`Mailboxes::with_faults`]) the
 /// send path is subject to injected link outages ([`MachineError::LinkDown`]),
@@ -98,8 +106,8 @@ impl FabricTopology {
 pub struct Mailboxes {
     n: usize,
     topology: FabricTopology,
-    queues: Vec<VecDeque<Word>>, // indexed from * n + to
-    non_empty: usize,            // channels with at least one queued message
+    inboxes: Vec<VecDeque<(usize, Word)>>, // indexed by destination
+    pending: usize,                        // messages queued across all inboxes
     delivered: u64,
     faults: Option<FaultPlan>,
     cycle: u64,
@@ -111,8 +119,8 @@ impl Mailboxes {
         Mailboxes {
             n,
             topology,
-            queues: vec![VecDeque::new(); n * n],
-            non_empty: 0,
+            inboxes: vec![VecDeque::new(); n],
+            pending: 0,
             delivered: 0,
             faults: None,
             cycle: 0,
@@ -165,27 +173,24 @@ impl Mailboxes {
             }
             value = plan.corrupt(value);
         }
-        let queue = &mut self.queues[from * self.n + to];
-        queue.push_back(value);
-        if queue.len() == 1 {
-            self.non_empty += 1;
-        }
+        self.inboxes[to].push_back((from, value));
+        self.pending += 1;
         Ok(())
     }
 
     /// Receive at `to` from `from`: `Ok(None)` means the route is legal but
-    /// no value has arrived yet (the caller stalls).
+    /// no value has arrived yet (the caller stalls, and nothing queued from
+    /// other sources is consumed).
     pub fn recv(&mut self, to: usize, from: usize) -> Result<Option<Word>, MachineError> {
         self.topology.route(from, to, self.n)?;
-        let queue = &mut self.queues[from * self.n + to];
-        let v = queue.pop_front();
-        if v.is_some() {
-            self.delivered += 1;
-            if queue.is_empty() {
-                self.non_empty -= 1;
-            }
-        }
-        Ok(v)
+        let inbox = &mut self.inboxes[to];
+        let Some(at) = inbox.iter().position(|&(src, _)| src == from) else {
+            return Ok(None);
+        };
+        let (_, v) = inbox.remove(at).expect("position came from this inbox");
+        self.pending -= 1;
+        self.delivered += 1;
+        Ok(Some(v))
     }
 
     /// Messages actually delivered so far.
@@ -193,15 +198,15 @@ impl Mailboxes {
         self.delivered
     }
 
-    /// Are any messages still in flight?  O(1): the non-empty-channel
-    /// count is maintained incrementally by `send`/`recv`.
+    /// Are any messages still in flight?  O(1): the queued-message count
+    /// is maintained incrementally by `send`/`recv`.
     pub fn any_pending(&self) -> bool {
         debug_assert_eq!(
-            self.non_empty > 0,
-            self.queues.iter().any(|q| !q.is_empty()),
-            "incremental non-empty count diverged from the channel scan"
+            self.pending,
+            self.inboxes.iter().map(VecDeque::len).sum::<usize>(),
+            "incremental pending count diverged from the inbox scan"
         );
-        self.non_empty > 0
+        self.pending > 0
     }
 }
 
@@ -343,10 +348,30 @@ mod tests {
 
     #[test]
     fn channels_are_independent() {
+        // Interleaved sources share one inbox; each channel stays FIFO.
         let mut mb = Mailboxes::new(3, FabricTopology::Crossbar);
         mb.send(0, 1, 7).unwrap();
         mb.send(2, 1, 8).unwrap();
-        assert_eq!(mb.recv(1, 2).unwrap(), Some(8));
+        mb.send(0, 1, 9).unwrap();
         assert_eq!(mb.recv(1, 0).unwrap(), Some(7));
+        assert_eq!(mb.recv(1, 0).unwrap(), Some(9));
+        assert_eq!(mb.recv(1, 2).unwrap(), Some(8));
+        assert!(!mb.any_pending());
+    }
+
+    #[test]
+    fn recv_from_an_idle_source_consumes_nothing() {
+        let mut mb = Mailboxes::new(4, FabricTopology::Crossbar);
+        mb.send(0, 1, 5).unwrap();
+        mb.send(2, 1, 6).unwrap();
+        assert_eq!(mb.recv(1, 3).unwrap(), None);
+        assert!(mb.any_pending());
+        assert_eq!(mb.delivered(), 0);
+        // Both queued messages are still there, each on its own channel.
+        assert_eq!(mb.recv(1, 2).unwrap(), Some(6));
+        assert_eq!(mb.recv(1, 3).unwrap(), None);
+        assert!(mb.any_pending());
+        assert_eq!(mb.recv(1, 0).unwrap(), Some(5));
+        assert!(!mb.any_pending());
     }
 }

@@ -230,6 +230,55 @@ fn multi_ring_shift_identity() {
 }
 
 #[test]
+fn multi_reverse_gather_identity() {
+    // 64-core IMP-II all-to-one gather: every source sends two tagged
+    // values to core 0, which receives from sources in *reverse* order.
+    // Early senders pile up in core 0's inbox, so each receive matches
+    // deep inside it and out of arrival order; late senders (those that
+    // spin first) wake a parked receiver instead.
+    const CORES: usize = 64;
+    let programs: Vec<Program> = (0..CORES)
+        .map(|i| {
+            let mut asm = Assembler::new();
+            if i == 0 {
+                for src in (1..CORES).rev() {
+                    for base in [0, CORES] {
+                        asm.emit(Instr::Recv(2, src)).movi(3, (base + src) as Word);
+                        asm.emit(Instr::Store(3, 2));
+                    }
+                }
+            } else {
+                asm.movi(0, 0).movi(1, (i % 4 * 6) as Word);
+                asm.label("spin").unwrap();
+                asm.emit(Instr::AddI(0, 0, 1));
+                asm.blt(0, 1, "spin");
+                asm.movi(2, 1000 + i as Word).emit(Instr::Send(0, 2));
+                asm.movi(2, 2000 + i as Word).emit(Instr::Send(0, 2));
+            }
+            asm.emit(Instr::Halt);
+            asm.assemble().unwrap()
+        })
+        .collect();
+    let mut banks = Vec::new(); // core 0's bank after the event, then the dense run
+    assert_twin("reverse gather", |dense, t| {
+        let mut m = MultiMachine::new(MultiSubtype::from_index(2).unwrap(), CORES, 2 * CORES)
+            .with_dense_reference(dense);
+        let stats = m.run_traced(&programs, t);
+        banks.push(m.memory().bank(0).contents().to_vec());
+        stats
+    });
+    assert_eq!(banks[0], banks[1], "received values diverged");
+    for src in 1..CORES {
+        assert_eq!(banks[0][src], 1000 + src as Word, "first from {src}");
+        assert_eq!(
+            banks[0][CORES + src],
+            2000 + src as Word,
+            "second from {src}"
+        );
+    }
+}
+
+#[test]
 fn multi_forward_send_identity() {
     // Core 0 sends to core 1 while core 1 sits on the receive: the dense
     // scan visits the sender first, so the message lands the same cycle.

@@ -23,7 +23,6 @@ fn start(queue: usize, workers: usize) -> (Arc<Service>, skilltax_service::HttpS
             write_timeout: Duration::from_millis(300),
             max_header_bytes: 2048,
             max_body_bytes: 4096,
-            ..HttpConfig::default()
         },
     )
     .expect("bind loopback");

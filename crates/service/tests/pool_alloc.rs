@@ -7,23 +7,40 @@
 //! touches the heap.  A counting global allocator pins this down two
 //! ways: repeated warm requests allocate *zero* bytes, and quadrupling
 //! the work per request does not change the allocation count.
+//!
+//! The count is per thread: the engine executes a request on the calling
+//! thread, and the test harness runs tests (and reports results) on other
+//! threads whose allocations must not be charged to the request.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use skilltax_machine::CancelToken;
 use skilltax_service::{Engine, EngineConfig, JobKind, JobOutcome, JobRequest, Scheduler};
 
-/// The system allocator with a global allocation counter.
+/// The system allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// Delegates every call to `System` verbatim and only adds a relaxed
-// counter bump on the allocation paths.
+fn bump() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// Delegates every call to `System` verbatim and only adds a counter
+// bump on the allocation paths.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,9 +72,9 @@ fn simulate(iters: i64) -> JobRequest {
 
 /// Allocations attributable to executing one warm pooled request.
 fn allocs_for(engine: &Engine, request: &JobRequest, cancel: &CancelToken) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let outcome = engine.execute(request, cancel);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     match outcome {
         JobOutcome::Completed {
             stats: Some(stats), ..
@@ -108,9 +125,9 @@ fn deadline_requests_cost_constant_allocations() {
     };
     let run = |iters: i64| {
         let cancel = CancelToken::new();
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let outcome = engine.execute(&with_deadline(iters), &cancel);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         assert!(
             matches!(outcome, JobOutcome::Cancelled { at_cycle: 50, .. }),
             "{outcome:?}"
